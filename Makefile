@@ -23,6 +23,7 @@ race:
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
+	go test -run '^$$' -fuzz '^FuzzFilterRange$$' -fuzztime 10s ./internal/kernels
 	go test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 10s ./internal/sql
 	go test -run '^$$' -fuzz '^FuzzReadCatalog$$' -fuzztime 10s ./internal/cost
 

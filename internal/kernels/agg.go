@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -88,7 +87,7 @@ var AggBlockI64 = register(&Kernel{
 			return fmt.Errorf("%w: agg_block output must have 1 element", ErrBadArgs)
 		}
 		op := AggOp(params[0])
-		out[0] = op.combine2(out[0], reduceI64(ctx, in, op))
+		out[0] = op.combine2(out[0], reduce(ctx, in, op))
 		return nil
 	},
 	Cost: aggCost,
@@ -107,35 +106,7 @@ var AggBlockI32 = register(&Kernel{
 			return fmt.Errorf("%w: agg_block output must have 1 element", ErrBadArgs)
 		}
 		op := AggOp(params[0])
-		w := ctx.workers()
-		span := (len(in) + w - 1) / w
-		if span == 0 {
-			span = 1
-		}
-		nSpans := (len(in) + span - 1) / span
-		partial := make([]int64, nSpans)
-		var wg sync.WaitGroup
-		for si := 0; si < nSpans; si++ {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				s, e := si*span, (si+1)*span
-				if e > len(in) {
-					e = len(in)
-				}
-				acc := op.identity()
-				for i := s; i < e; i++ {
-					acc = op.combine(acc, int64(in[i]))
-				}
-				partial[si] = acc
-			}(si)
-		}
-		wg.Wait()
-		acc := op.identity()
-		for _, p := range partial {
-			acc = op.combine2(acc, p)
-		}
-		out[0] = op.combine2(out[0], acc)
+		out[0] = op.combine2(out[0], reduce(ctx, in, op))
 		return nil
 	},
 	Cost: aggCost,
@@ -183,31 +154,34 @@ func (op AggOp) Merge(a, b int64) int64 { return op.combine2(a, b) }
 // appropriate int64 extremum for MIN/MAX.
 func (op AggOp) MergeIdentity() int64 { return op.identity() }
 
-func reduceI64(ctx *Ctx, in []int64, op AggOp) int64 {
-	w := ctx.workers()
-	span := (len(in) + w - 1) / w
-	if span == 0 {
-		span = 1
+// fold reduces in into acc under op, one typed loop per operator.
+func fold[T integer](op AggOp, acc int64, in []T) int64 {
+	switch op {
+	case AggSum:
+		for _, v := range in {
+			acc += int64(v)
+		}
+	case AggCount:
+		acc += int64(len(in))
+	case AggMin:
+		for _, v := range in {
+			acc = min(acc, int64(v))
+		}
+	case AggMax:
+		for _, v := range in {
+			acc = max(acc, int64(v))
+		}
 	}
-	nSpans := (len(in) + span - 1) / span
+	return acc
+}
+
+// reduce folds in under op across worker spans, merging the partials.
+func reduce[T integer](ctx *Ctx, in []T, op AggOp) int64 {
+	chunk, nSpans := spans(ctx, len(in))
 	partial := make([]int64, nSpans)
-	var wg sync.WaitGroup
-	for si := 0; si < nSpans; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s, e := si*span, (si+1)*span
-			if e > len(in) {
-				e = len(in)
-			}
-			acc := op.identity()
-			for i := s; i < e; i++ {
-				acc = op.combine(acc, in[i])
-			}
-			partial[si] = acc
-		}(si)
-	}
-	wg.Wait()
+	parallelRange(ctx, len(in), 1, func(s, e int) {
+		partial[s/chunk] = fold(op, op.identity(), in[s:e])
+	})
 	acc := op.identity()
 	for _, p := range partial {
 		acc = op.combine2(acc, p)

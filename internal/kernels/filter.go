@@ -2,7 +2,8 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"math/bits"
 
 	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -68,6 +69,113 @@ func (op CmpOp) Matches(v, lo, hi int64) bool {
 	}
 }
 
+// rangePred is a comparison normalized to an inclusive range test: v
+// matches when lo <= v <= hi, negated when ne. Every filter kernel, fused
+// or not, evaluates its predicate in this form, so a row costs one
+// unsigned compare, uint64(v-lo) <= uint64(hi-lo), with no operator
+// dispatch. Normalized ranges always have lo <= hi.
+type rangePred struct {
+	lo, hi int64
+	ne     bool
+}
+
+// matchNone is the predicate that matches nothing: the full range, negated.
+var matchNone = rangePred{lo: math.MinInt64, hi: math.MaxInt64, ne: true}
+
+// newRangePred normalizes (op, lo, hi) to range form. Unknown operators
+// and empty ranges never match, as CmpOp.Matches returns false for them.
+func newRangePred(op CmpOp, lo, hi int64) rangePred {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	switch op {
+	case CmpLt:
+		if lo == minI {
+			return matchNone
+		}
+		return rangePred{lo: minI, hi: lo - 1}
+	case CmpLe:
+		return rangePred{lo: minI, hi: lo}
+	case CmpGt:
+		if lo == maxI {
+			return matchNone
+		}
+		return rangePred{lo: lo + 1, hi: maxI}
+	case CmpGe:
+		return rangePred{lo: lo, hi: maxI}
+	case CmpEq:
+		return rangePred{lo: lo, hi: lo}
+	case CmpNe:
+		return rangePred{lo: lo, hi: lo, ne: true}
+	case CmpBetween:
+		if lo <= hi {
+			return rangePred{lo: lo, hi: hi}
+		}
+	}
+	return matchNone
+}
+
+// b2u converts a comparison result to 0/1 without a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// matchWord evaluates the predicate over at most 64 values and packs the
+// result into one bitmap word; bits beyond len(in) stay clear.
+func matchWord[T integer](p rangePred, in []T) uint64 {
+	lo, span := p.lo, uint64(p.hi-p.lo)
+	var bits uint64
+	for j, v := range in {
+		bits |= b2u(uint64(int64(v)-lo) <= span) << uint(j)
+	}
+	if p.ne {
+		bits ^= 1<<uint(len(in)) - 1
+	}
+	return bits
+}
+
+// selectDense writes the offsets of the matching values of in into sel,
+// returning their count. The append is predicated: every row stores its
+// offset and only a match advances the cursor.
+func selectDense[T integer](p rangePred, in []T, sel []int32) int {
+	lo, span, ne := p.lo, uint64(p.hi-p.lo), p.ne
+	c := 0
+	for i, v := range in {
+		sel[c] = int32(i)
+		c += int(b2u((uint64(int64(v)-lo) <= span) != ne))
+	}
+	return c
+}
+
+// selectRefine keeps the offsets in sel whose value in col matches,
+// compacting them in place and returning the new count.
+func selectRefine[T integer](p rangePred, col []T, sel []int32) int {
+	lo, span, ne := p.lo, uint64(p.hi-p.lo), p.ne
+	c := 0
+	for _, idx := range sel {
+		sel[c] = idx
+		c += int(b2u((uint64(int64(col[idx])-lo) <= span) != ne))
+	}
+	return c
+}
+
+// filterBitmap is the body of the FILTER_BITMAP kernels.
+func filterBitmap[T integer](ctx *Ctx, name string, in []T, out vec.Vector, params []int64) error {
+	if out.Type() != vec.Bits || out.Len() != len(in) {
+		return fmt.Errorf("%w: %s output %s for %d inputs", ErrBadArgs, name, out, len(in))
+	}
+	p := newRangePred(CmpOp(params[0]), params[1], params[2])
+	words := out.Words()
+	parallelRange(ctx, len(in), 64, func(s, e int) {
+		for i := s; i < e; i += 64 {
+			words[i/64] = matchWord(p, in[i:min(i+64, e)])
+		}
+	})
+	return nil
+}
+
 // FilterBitmapI32 evaluates a predicate over an int32 column and writes a
 // bit-packed result, the FILTER_BITMAP primitive. Args: in(I32), out(Bits);
 // params: op, lo, hi.
@@ -77,29 +185,7 @@ var FilterBitmapI32 = register(&Kernel{
 	NParams: 3,
 	Source:  "__kernel filter_bitmap_i32(in, out, op, lo, hi) { out.bit[i] = cmp(in[i]); }",
 	Fn: func(ctx *Ctx, args []vec.Vector, params []int64) error {
-		in := args[0].I32()
-		out := args[1]
-		if out.Type() != vec.Bits || out.Len() != len(in) {
-			return fmt.Errorf("%w: filter_bitmap_i32 output %s for %d inputs", ErrBadArgs, out, len(in))
-		}
-		op, lo, hi := CmpOp(params[0]), params[1], params[2]
-		words := out.Words()
-		parallelRange(ctx, len(in), 64, func(s, e int) {
-			for w := s / 64; w*64 < e; w++ {
-				var bits uint64
-				limit := (w + 1) * 64
-				if limit > e {
-					limit = e
-				}
-				for i := w * 64; i < limit; i++ {
-					if op.Matches(int64(in[i]), lo, hi) {
-						bits |= 1 << uint(i%64)
-					}
-				}
-				words[w] = bits
-			}
-		})
-		return nil
+		return filterBitmap(ctx, "filter_bitmap_i32", args[0].I32(), args[1], params)
 	},
 	Cost: streamCost,
 })
@@ -112,29 +198,7 @@ var FilterBitmapI64 = register(&Kernel{
 	NParams: 3,
 	Source:  "__kernel filter_bitmap_i64(in, out, op, lo, hi) { out.bit[i] = cmp(in[i]); }",
 	Fn: func(ctx *Ctx, args []vec.Vector, params []int64) error {
-		in := args[0].I64()
-		out := args[1]
-		if out.Type() != vec.Bits || out.Len() != len(in) {
-			return fmt.Errorf("%w: filter_bitmap_i64 output %s for %d inputs", ErrBadArgs, out, len(in))
-		}
-		op, lo, hi := CmpOp(params[0]), params[1], params[2]
-		words := out.Words()
-		parallelRange(ctx, len(in), 64, func(s, e int) {
-			for w := s / 64; w*64 < e; w++ {
-				var bits uint64
-				limit := (w + 1) * 64
-				if limit > e {
-					limit = e
-				}
-				for i := w * 64; i < limit; i++ {
-					if op.Matches(in[i], lo, hi) {
-						bits |= 1 << uint(i%64)
-					}
-				}
-				words[w] = bits
-			}
-		})
-		return nil
+		return filterBitmap(ctx, "filter_bitmap_i64", args[0].I64(), args[1], params)
 	},
 	Cost: streamCost,
 })
@@ -230,64 +294,24 @@ var FilterPosI32 = register(&Kernel{
 		if len(outCount) != 1 {
 			return fmt.Errorf("%w: filter_pos_i32 count buffer must have 1 element", ErrBadArgs)
 		}
-		op, lo, hi := CmpOp(params[0]), params[1], params[2]
-
-		// Phase 1: per-span match counts (parallel).
-		w := ctx.workers()
-		span := (len(in) + w - 1) / w
-		if span == 0 {
-			span = 1
-		}
-		nSpans := (len(in) + span - 1) / span
-		counts := make([]int, nSpans+1)
-		var wg sync.WaitGroup
-		for si := 0; si < nSpans; si++ {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				s, e := si*span, (si+1)*span
-				if e > len(in) {
-					e = len(in)
+		p := newRangePred(CmpOp(params[0]), params[1], params[2])
+		total := compact(ctx, len(in), len(outPos), func(s, e int) int {
+			c := 0
+			for i := s; i < e; i += 64 {
+				c += bits.OnesCount64(matchWord(p, in[i:min(i+64, e)]))
+			}
+			return c
+		}, func(s, e, at int) {
+			for i := s; i < e; i += 64 {
+				for w := matchWord(p, in[i:min(i+64, e)]); w != 0; w &= w - 1 {
+					outPos[at] = int32(i + bits.TrailingZeros64(w))
+					at++
 				}
-				c := 0
-				for i := s; i < e; i++ {
-					if op.Matches(int64(in[i]), lo, hi) {
-						c++
-					}
-				}
-				counts[si+1] = c
-			}(si)
-		}
-		wg.Wait()
-
-		// Exclusive prefix over span counts.
-		for i := 1; i <= nSpans; i++ {
-			counts[i] += counts[i-1]
-		}
-		total := counts[nSpans]
+			}
+		})
 		if total > len(outPos) {
 			return fmt.Errorf("%w: filter_pos_i32 output holds %d positions, need %d", ErrBadArgs, len(outPos), total)
 		}
-
-		// Phase 2: scatter positions in order (parallel).
-		for si := 0; si < nSpans; si++ {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				s, e := si*span, (si+1)*span
-				if e > len(in) {
-					e = len(in)
-				}
-				at := counts[si]
-				for i := s; i < e; i++ {
-					if op.Matches(int64(in[i]), lo, hi) {
-						outPos[at] = int32(i)
-						at++
-					}
-				}
-			}(si)
-		}
-		wg.Wait()
 		outCount[0] = int64(total)
 		return nil
 	},
@@ -297,3 +321,22 @@ var FilterPosI32 = register(&Kernel{
 		return m.SDK.Stream(m.Spec, 2*in) + m.SDK.Random(m.Spec, args[1].Bytes()/4)
 	},
 })
+
+// compact is the two-phase, order-preserving compaction shared by
+// filter_pos and fused_filter_mat: count(s, e) survivors per worker span,
+// an exclusive prefix over the span counts, then emit(s, e, at) writes span
+// [s, e)'s survivors from output index at. It returns the survivor total
+// and skips the emit phase when the total exceeds limit.
+func compact(ctx *Ctx, n, limit int, count func(s, e int) int, emit func(s, e, at int)) int {
+	chunk, nSpans := spans(ctx, n)
+	counts := make([]int, nSpans+1)
+	parallelRange(ctx, n, 1, func(s, e int) { counts[s/chunk+1] = count(s, e) })
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	total := counts[len(counts)-1]
+	if total <= limit {
+		parallelRange(ctx, n, 1, func(s, e int) { emit(s, e, counts[s/chunk]) })
+	}
+	return total
+}

@@ -24,21 +24,18 @@ var FilterBitmapColCmpI32 = register(&Kernel{
 		if out.Type() != vec.Bits || out.Len() != len(a) {
 			return fmt.Errorf("%w: colcmp output %s for %d inputs", ErrBadArgs, out, len(a))
 		}
-		op := CmpOp(params[0])
+		// a op b is (a-b) op 0; the difference of two int32s is exact in
+		// int64, so the comparison goes through the shared range form.
+		p := newRangePred(CmpOp(params[0]), 0, 0)
 		words := out.Words()
 		parallelRange(ctx, len(a), 64, func(s, e int) {
-			for w := s / 64; w*64 < e; w++ {
-				var bits uint64
-				limit := (w + 1) * 64
-				if limit > e {
-					limit = e
+			var d [64]int64
+			for i := s; i < e; i += 64 {
+				n := min(64, e-i)
+				for j := range d[:n] {
+					d[j] = int64(a[i+j]) - int64(b[i+j])
 				}
-				for i := w * 64; i < limit; i++ {
-					if op.Matches(int64(a[i]), int64(b[i]), int64(b[i])) {
-						bits |= 1 << uint(i%64)
-					}
-				}
-				words[w] = bits
+				words[i/64] = matchWord(p, d[:n])
 			}
 		})
 		return nil

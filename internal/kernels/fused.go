@@ -2,8 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -16,8 +14,9 @@ import (
 // through device memory, a fused launch is an interpreted micro-program:
 // the scalar parameters carry a conjunctive predicate list and a map
 // expression, the buffer arguments carry the distinct base columns the
-// chain touches, and each row is filtered, mapped and reduced (or
-// compacted) without ever leaving registers. This mirrors what data-path
+// chain touches, and each block of rows is filtered, mapped and reduced
+// (or compacted) in a worker's cache-resident scratch without ever
+// reaching device memory. This mirrors what data-path
 // fusion / kernel compilation buys engines like HeavyDB: no intermediate
 // allocations, one launch latency, one streaming read of the inputs.
 //
@@ -45,106 +44,55 @@ const (
 	FusedMapMulComp
 )
 
-// fusedCol reads a base column of either width as int64, the register file
-// of the interpreted row loop.
+// fusedCol is a base column of either width; the row loops dispatch on
+// the width once per block, not per row.
 type fusedCol struct {
 	i32 []int32
 	i64 []int64
 }
 
-func (c fusedCol) at(i int) int64 {
+// gather writes the column's values at rows base+sel[j] into dst[j].
+func (c fusedCol) gather(base int, sel []int32, dst []int64) {
 	if c.i32 != nil {
-		return int64(c.i32[i])
+		gatherRows(c.i32[base:], sel, dst)
+		return
 	}
-	return c.i64[i]
+	gatherRows(c.i64[base:], sel, dst)
 }
 
-// fusedPred is one conjunct, normalized at decode time to an inclusive
-// range test v in [lo, hi] (negated for CmpNe) so the row loop runs two
-// compares with no operator dispatch.
+func gatherRows[T integer](col []T, sel []int32, dst []int64) {
+	dst = dst[:len(sel)]
+	for j, i := range sel {
+		dst[j] = int64(col[i])
+	}
+}
+
+// fusedPred is one conjunct over a column, in the range form every filter
+// kernel shares.
 type fusedPred struct {
-	col    fusedCol
-	lo, hi int64
-	ne     bool
+	col fusedCol
+	rangePred
 }
 
-// newFusedPred normalizes a (op, lo, hi) predicate to range form. Unknown
-// operators yield an empty range, matching CmpOp.Matches returning false.
 func newFusedPred(col fusedCol, op CmpOp, lo, hi int64) fusedPred {
-	const minI, maxI = math.MinInt64, math.MaxInt64
-	p := fusedPred{col: col}
-	switch op {
-	case CmpLt:
-		if lo == minI {
-			return fusedPred{col: col, lo: 1, hi: 0} // v < MinInt64: never
-		}
-		p.lo, p.hi = minI, lo-1
-	case CmpLe:
-		p.lo, p.hi = minI, lo
-	case CmpGt:
-		if lo == maxI {
-			return fusedPred{col: col, lo: 1, hi: 0}
-		}
-		p.lo, p.hi = lo+1, maxI
-	case CmpGe:
-		p.lo, p.hi = lo, maxI
-	case CmpEq:
-		p.lo, p.hi = lo, lo
-	case CmpNe:
-		p.lo, p.hi, p.ne = lo, lo, true
-	case CmpBetween:
-		p.lo, p.hi = lo, hi
-	default:
-		p.lo, p.hi = 1, 0
-	}
-	return p
+	return fusedPred{col: col, rangePred: newRangePred(op, lo, hi)}
 }
 
 // filterDense scans rows [base, base+n) and writes surviving offsets
-// (relative to base) into sel, returning the count. The typed loops keep
-// the hot path free of per-row dispatch.
+// (relative to base) into sel, returning the count.
 func (pr *fusedPred) filterDense(base, n int, sel []int32) int {
-	c := 0
-	lo, hi, ne := pr.lo, pr.hi, pr.ne
 	if s := pr.col.i32; s != nil {
-		for i, v := range s[base : base+n] {
-			if (int64(v) >= lo && int64(v) <= hi) != ne {
-				sel[c] = int32(i)
-				c++
-			}
-		}
-		return c
+		return selectDense(pr.rangePred, s[base:base+n], sel)
 	}
-	for i, v := range pr.col.i64[base : base+n] {
-		if (v >= lo && v <= hi) != ne {
-			sel[c] = int32(i)
-			c++
-		}
-	}
-	return c
+	return selectDense(pr.rangePred, pr.col.i64[base:base+n], sel)
 }
 
 // filterSel refines an existing selection in place, returning the new count.
 func (pr *fusedPred) filterSel(base int, sel []int32) int {
-	c := 0
-	lo, hi, ne := pr.lo, pr.hi, pr.ne
 	if s := pr.col.i32; s != nil {
-		for _, idx := range sel {
-			if v := int64(s[base+int(idx)]); (v >= lo && v <= hi) != ne {
-				sel[c] = idx
-				c++
-			}
-		}
-		return c
+		return selectRefine(pr.rangePred, s[base:], sel)
 	}
-	s := pr.col.i64
-	for _, idx := range sel {
-		if v := s[base+int(idx)]; (v >= lo && v <= hi) != ne {
-			sel[c] = idx
-			c++
-		}
-	}
-	return c
+	return selectRefine(pr.rangePred, pr.col.i64[base:], sel)
 }
 
 // fusedProg is the decoded micro-program of one fused launch.
@@ -162,6 +110,13 @@ type fusedProg struct {
 // amortize the per-predicate loop setup, small enough that the selection
 // and the touched column slices stay cache-resident.
 const fusedBlockRows = 1024
+
+// fusedBlock is a worker's scratch for one block: the selection vector and
+// the mapped values of the selected rows.
+type fusedBlock struct {
+	sel       [fusedBlockRows]int32
+	vals, tmp [fusedBlockRows]int64
+}
 
 // selectBlock evaluates the conjunctive predicate list over rows
 // [base, base+n) and writes the surviving offsets (relative to base, in
@@ -182,15 +137,37 @@ func (p *fusedProg) selectBlock(base, n int, sel []int32) int {
 	return c
 }
 
-// mapped evaluates the map expression for one row.
-func (p *fusedProg) mapped(i int) int64 {
+// mapBlock selects rows [base, base+n) and evaluates the map expression
+// over the survivors into b.vals, returning the survivor count. Each map
+// kind is one typed pass over the gathered operands.
+func (p *fusedProg) mapBlock(base, n int, b *fusedBlock) int {
+	c := p.selectBlock(base, n, b.sel[:])
+	sel, vals, tmp := b.sel[:c], b.vals[:c], b.tmp[:c]
+	p.mapA.gather(base, sel, vals)
 	switch p.mapKind {
 	case FusedMapMul:
-		return p.mapA.at(i) * p.mapB.at(i)
+		p.mapB.gather(base, sel, tmp)
+		for j, v := range tmp {
+			vals[j] *= v
+		}
 	case FusedMapMulComp:
-		return p.mapA.at(i) * (p.mapK - p.mapB.at(i))
-	default:
-		return p.mapA.at(i)
+		p.mapB.gather(base, sel, tmp)
+		for j, v := range tmp {
+			vals[j] *= p.mapK - v
+		}
+	}
+	return c
+}
+
+// compactSpan writes the mapped survivors of rows [s, e) densely into out.
+func compactSpan[T integer](p *fusedProg, s, e int, out []T) {
+	var b fusedBlock
+	for base := s; base < e; base += fusedBlockRows {
+		c := p.mapBlock(base, min(fusedBlockRows, e-base), &b)
+		for j, v := range b.vals[:c] {
+			out[j] = T(v)
+		}
+		out = out[c:]
 	}
 }
 
@@ -285,37 +262,17 @@ var FusedFilterAgg = register(&Kernel{
 		if out.Type() != vec.Int64 || out.Len() != 1 {
 			return fmt.Errorf("%w: fused_filter_agg output must be I64 len 1", ErrBadArgs)
 		}
-		w := ctx.workers()
-		span := (prog.rows + w - 1) / w
-		if span == 0 {
-			span = 1
-		}
-		nSpans := (prog.rows + span - 1) / span
+		chunk, nSpans := spans(ctx, prog.rows)
 		partial := make([]int64, nSpans)
-		var wg sync.WaitGroup
-		for si := 0; si < nSpans; si++ {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				s, e := si*span, (si+1)*span
-				if e > prog.rows {
-					e = prog.rows
-				}
-				var sel [fusedBlockRows]int32
-				acc := op.identity()
-				for base := s; base < e; base += fusedBlockRows {
-					n := e - base
-					if n > fusedBlockRows {
-						n = fusedBlockRows
-					}
-					for _, idx := range sel[:prog.selectBlock(base, n, sel[:])] {
-						acc = op.combine(acc, prog.mapped(base+int(idx)))
-					}
-				}
-				partial[si] = acc
-			}(si)
-		}
-		wg.Wait()
+		parallelRange(ctx, prog.rows, 1, func(s, e int) {
+			var b fusedBlock
+			acc := op.identity()
+			for base := s; base < e; base += fusedBlockRows {
+				c := prog.mapBlock(base, min(fusedBlockRows, e-base), &b)
+				acc = fold(op, acc, b.vals[:c])
+			}
+			partial[s/chunk] = acc
+		})
 		acc := op.identity()
 		for _, p := range partial {
 			acc = op.combine2(acc, p)
@@ -348,14 +305,14 @@ var FusedFilterMat = register(&Kernel{
 		}
 		out := args[len(args)-2]
 		outCount := args[len(args)-1].I64()
-		var assign func(dst, src int)
+		var emit func(s, e, at int)
 		switch out.Type() {
 		case vec.Int32:
-			v := out.I32()
-			assign = func(dst, src int) { v[dst] = int32(prog.mapped(src)) }
+			o := out.I32()
+			emit = func(s, e, at int) { compactSpan(prog, s, e, o[at:]) }
 		case vec.Int64:
-			v := out.I64()
-			assign = func(dst, src int) { v[dst] = prog.mapped(src) }
+			o := out.I64()
+			emit = func(s, e, at int) { compactSpan(prog, s, e, o[at:]) }
 		default:
 			return fmt.Errorf("%w: fused_filter_mat output must be I32 or I64", ErrBadArgs)
 		}
@@ -363,68 +320,19 @@ var FusedFilterMat = register(&Kernel{
 			return fmt.Errorf("%w: fused_filter_mat count buffer must have 1 element", ErrBadArgs)
 		}
 
-		// Two-phase compaction, like filter_pos: per-span survivor counts,
-		// exclusive prefix, then an in-order scatter. Deterministic and
+		// Two-phase compaction, like filter_pos: deterministic and
 		// identical to the bitmap materialization order.
-		w := ctx.workers()
-		span := (prog.rows + w - 1) / w
-		if span == 0 {
-			span = 1
-		}
-		nSpans := (prog.rows + span - 1) / span
-		counts := make([]int, nSpans+1)
-		var wg sync.WaitGroup
-		for si := 0; si < nSpans; si++ {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				s, e := si*span, (si+1)*span
-				if e > prog.rows {
-					e = prog.rows
-				}
-				var sel [fusedBlockRows]int32
-				c := 0
-				for base := s; base < e; base += fusedBlockRows {
-					n := e - base
-					if n > fusedBlockRows {
-						n = fusedBlockRows
-					}
-					c += prog.selectBlock(base, n, sel[:])
-				}
-				counts[si+1] = c
-			}(si)
-		}
-		wg.Wait()
-		for i := 1; i <= nSpans; i++ {
-			counts[i] += counts[i-1]
-		}
-		total := counts[nSpans]
+		total := compact(ctx, prog.rows, out.Len(), func(s, e int) int {
+			var sel [fusedBlockRows]int32
+			c := 0
+			for base := s; base < e; base += fusedBlockRows {
+				c += prog.selectBlock(base, min(fusedBlockRows, e-base), sel[:])
+			}
+			return c
+		}, emit)
 		if total > out.Len() {
 			return fmt.Errorf("%w: fused_filter_mat output holds %d values, need %d", ErrBadArgs, out.Len(), total)
 		}
-		for si := 0; si < nSpans; si++ {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				s, e := si*span, (si+1)*span
-				if e > prog.rows {
-					e = prog.rows
-				}
-				var sel [fusedBlockRows]int32
-				at := counts[si]
-				for base := s; base < e; base += fusedBlockRows {
-					n := e - base
-					if n > fusedBlockRows {
-						n = fusedBlockRows
-					}
-					for _, idx := range sel[:prog.selectBlock(base, n, sel[:])] {
-						assign(at, base+int(idx))
-						at++
-					}
-				}
-			}(si)
-		}
-		wg.Wait()
 		outCount[0] = int64(total)
 		return nil
 	},

@@ -82,30 +82,27 @@ func buildCost(m CostModel, n, slots int64, extra float64) vclock.Duration {
 	return m.SDK.Atomic(m.Spec, n, contention) + m.SDK.Random(m.Spec, 16*n)
 }
 
-// insert performs a lock-free linear-probing insert, invoking onClaim with
-// the payload cell once the key's slot is found or claimed. It reports
-// false when the table is full (every slot probed and occupied by other
-// keys), which kernels surface as an undersized-table error rather than
-// spinning.
-func insert(t []int64, slots int, key int64, onClaim func(payloadIdx int)) bool {
+// insert performs a lock-free linear-probing insert and returns the
+// payload cell index of key's slot, found or claimed. It returns -1 when
+// the table is full (every slot probed and occupied by other keys), which
+// kernels surface as an undersized-table error rather than spinning.
+func insert(t []int64, slots int, key int64) int {
 	slot := hashSlot(key, slots)
 	for probes := 0; probes < slots; probes++ {
 		k := atomic.LoadInt64(&t[2*slot])
 		if k == key {
-			onClaim(2*slot + 1)
-			return true
+			return 2*slot + 1
 		}
 		if k == hashEmpty {
 			if atomic.CompareAndSwapInt64(&t[2*slot], hashEmpty, key) {
-				onClaim(2*slot + 1)
-				return true
+				return 2*slot + 1
 			}
 			probes-- // lost the race; re-read this slot
 			continue
 		}
 		slot = (slot + 1) & (slots - 1)
 	}
-	return false
+	return -1
 }
 
 // errTableFull is the shared overflow error for insertion kernels.
@@ -147,13 +144,12 @@ var HashBuildPKI32 = register(&Kernel{
 		var full atomic.Bool
 		parallelRange(ctx, len(keys), 1, func(s, e int) {
 			for i := s; i < e; i++ {
-				row := base + int64(i)
-				if !insert(t, slots, int64(keys[i]), func(p int) {
-					atomic.StoreInt64(&t[p], row)
-				}) {
+				p := insert(t, slots, int64(keys[i]))
+				if p < 0 {
 					full.Store(true)
 					return
 				}
+				atomic.StoreInt64(&t[p], base+int64(i))
 			}
 		})
 		if full.Load() {
@@ -182,12 +178,12 @@ var HashBuildSetI32 = register(&Kernel{
 		var full atomic.Bool
 		parallelRange(ctx, len(keys), 1, func(s, e int) {
 			for i := s; i < e; i++ {
-				if !insert(t, slots, int64(keys[i]), func(p int) {
-					atomic.StoreInt64(&t[p], 1)
-				}) {
+				p := insert(t, slots, int64(keys[i]))
+				if p < 0 {
 					full.Store(true)
 					return
 				}
+				atomic.StoreInt64(&t[p], 1)
 			}
 		})
 		if full.Load() {
@@ -324,23 +320,7 @@ var HashAggI32I64 = register(&Kernel{
 		if err != nil {
 			return err
 		}
-		op := AggOp(params[0])
-		var full atomic.Bool
-		parallelRange(ctx, len(keys), 1, func(s, e int) {
-			for i := s; i < e; i++ {
-				v := values[i]
-				if !insert(t, slots, int64(keys[i]), func(p int) {
-					atomicAgg(t, p, op, v)
-				}) {
-					full.Store(true)
-					return
-				}
-			}
-		})
-		if full.Load() {
-			return errTableFull
-		}
-		return nil
+		return hashAgg(ctx, t, slots, AggOp(params[0]), keys, values)
 	},
 	Cost: hashAggCost,
 })
@@ -358,55 +338,166 @@ var HashAggCountI32 = register(&Kernel{
 		if err != nil {
 			return err
 		}
-		var full atomic.Bool
-		parallelRange(ctx, len(keys), 1, func(s, e int) {
-			for i := s; i < e; i++ {
-				if !insert(t, slots, int64(keys[i]), func(p int) {
-					atomic.AddInt64(&t[p], 1)
-				}) {
-					full.Store(true)
-					return
-				}
-			}
-		})
-		if full.Load() {
-			return errTableFull
-		}
-		return nil
+		return hashAgg(ctx, t, slots, AggCount, keys, nil)
 	},
 	Cost: func(m CostModel, args []vec.Vector, params []int64) vclock.Duration {
 		return hashAggCost(m, args, params[:0])
 	},
 })
 
-// atomicAgg folds v into the payload cell with the correct atomic for op.
-// Min/max require payload cells initialized to the aggregate identity
-// (HashTableInit's payloadInit parameter).
+// atomicAgg folds the partial aggregate v into the payload cell with the
+// correct atomic for op; a COUNT partial is a row count. Min/max require
+// payload cells initialized to the aggregate identity (HashTableInit's
+// payloadInit parameter).
 func atomicAgg(t []int64, p int, op AggOp, v int64) {
 	switch op {
-	case AggSum:
+	case AggSum, AggCount:
 		atomic.AddInt64(&t[p], v)
-	case AggCount:
-		atomic.AddInt64(&t[p], 1)
 	case AggMin:
 		for {
 			cur := atomic.LoadInt64(&t[p])
-			if v >= cur {
-				return
-			}
-			if atomic.CompareAndSwapInt64(&t[p], cur, v) {
+			if v >= cur || atomic.CompareAndSwapInt64(&t[p], cur, v) {
 				return
 			}
 		}
 	case AggMax:
 		for {
 			cur := atomic.LoadInt64(&t[p])
-			if v <= cur {
+			if v <= cur || atomic.CompareAndSwapInt64(&t[p], cur, v) {
 				return
 			}
-			if atomic.CompareAndSwapInt64(&t[p], cur, v) {
-				return
+		}
+	}
+}
+
+// Worker-private pre-aggregation: each worker folds its rows into a small
+// private table and flushes it into the shared table once, so a handful
+// of hot groups (TPC-H Q1 has four) cost one shared atomic per group and
+// worker instead of one per row and never bounce a cache line between
+// cores. The private table is two-way set associative: a key probes its
+// home slot and that slot's neighbour, and goes straight to the shared
+// table when both hold other keys.
+const (
+	preAggBits  = 6
+	preAggSlots = 1 << preAggBits
+	preAggBlock = 256 // rows probed before their values are folded
+)
+
+// hashAgg is the body of the HASH_AGG kernels; vals is nil for COUNT.
+func hashAgg(ctx *Ctx, t []int64, slots int, op AggOp, keys []int32, vals []int64) error {
+	var full atomic.Bool
+	parallelRange(ctx, len(keys), 1, func(s, e int) {
+		var v []int64
+		if vals != nil {
+			v = vals[s:e]
+		}
+		if !preAggregate(t, slots, op, keys[s:e], v) {
+			full.Store(true)
+		}
+	})
+	if full.Load() {
+		return errTableFull
+	}
+	return nil
+}
+
+// preAggKeys holds the keys of a private pre-aggregation table.
+type preAggKeys [preAggSlots]int64
+
+// slot returns k's private slot, claiming a free one, or preAggSlots when
+// both candidate slots hold other keys.
+func (ks *preAggKeys) slot(k int64) int {
+	s := int(uint64(k) * 0x9E3779B97F4A7C15 >> (64 - preAggBits))
+	switch {
+	case ks[s] == k:
+	case ks[s] == hashEmpty:
+		ks[s] = k
+	case ks[s^1] == k:
+		s ^= 1
+	case ks[s^1] == hashEmpty:
+		s ^= 1
+		ks[s] = k
+	default:
+		s = preAggSlots
+	}
+	return s
+}
+
+// preAggregate folds one worker's rows into the shared table through a
+// private pre-aggregation table. It reports false when the shared table is
+// full. Rows are probed a block at a time, recording each row's private
+// slot, and the block's values are then folded by one typed loop per
+// operator. A row that misses the private table folds straight into the
+// shared table; its private slot is a discarded spill cell.
+func preAggregate(t []int64, slots int, op AggOp, keys []int32, vals []int64) bool {
+	const spill = preAggSlots
+	var keyOf preAggKeys
+	var acc [preAggSlots + 1]int64
+	var idx [preAggBlock]uint8
+	for s := range keyOf {
+		keyOf[s] = hashEmpty
+		acc[s] = op.identity()
+	}
+	for base := 0; base < len(keys); base += preAggBlock {
+		blk := keys[base:min(base+preAggBlock, len(keys))]
+		spilled := 0
+		for j, k32 := range blk {
+			k := int64(k32)
+			s := keyOf.slot(k)
+			if s == spill {
+				spilled++
+				p := insert(t, slots, k)
+				if p < 0 {
+					return false
+				}
+				v := int64(1)
+				if op != AggCount {
+					v = vals[base+j]
+				}
+				atomicAgg(t, p, op, v)
 			}
+			idx[j] = uint8(s)
+		}
+		if spilled < len(blk) {
+			var v []int64
+			if op != AggCount {
+				v = vals[base : base+len(blk)]
+			}
+			foldSlots(op, acc[:], idx[:len(blk)], v)
+		}
+	}
+	for s, k := range keyOf {
+		if k == hashEmpty {
+			continue
+		}
+		p := insert(t, slots, k)
+		if p < 0 {
+			return false
+		}
+		atomicAgg(t, p, op, acc[s])
+	}
+	return true
+}
+
+// foldSlots folds vals[j] into acc[idx[j]] under op; COUNT adds one per
+// row and reads no values.
+func foldSlots(op AggOp, acc []int64, idx []uint8, vals []int64) {
+	switch op {
+	case AggSum:
+		for j, s := range idx {
+			acc[s] += vals[j]
+		}
+	case AggCount:
+		for _, s := range idx {
+			acc[s]++
+		}
+	case AggMin:
+		for j, s := range idx {
+			acc[s] = min(acc[s], vals[j])
+		}
+	case AggMax:
+		for j, s := range idx {
+			acc[s] = max(acc[s], vals[j])
 		}
 	}
 }

@@ -149,12 +149,12 @@ func register(k *Kernel) *Kernel {
 	return k
 }
 
-// parallelRange splits [0,n) into contiguous spans, one per worker, and runs
-// body(start, end) concurrently. Spans are aligned to align elements so that
-// bitmap-producing kernels never share a word between workers. A panic in
-// any worker is re-raised in the caller so the device boundary can convert
-// it into a launch error.
-func parallelRange(ctx *Ctx, n, align int, body func(start, end int)) {
+// integer is the element type of the typed kernel loops: one generic body
+// instantiates separately for int32 and int64 columns.
+type integer interface{ ~int32 | ~int64 }
+
+// chunkLen is the span length parallelRange hands each worker.
+func chunkLen(ctx *Ctx, n, align int) int {
 	w := ctx.workers()
 	if align < 1 {
 		align = 1
@@ -163,32 +163,51 @@ func parallelRange(ctx *Ctx, n, align int, body func(start, end int)) {
 	if chunk < align {
 		chunk = align
 	}
-	chunk = (chunk + align - 1) / align * align
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var panicked any
+	return (chunk + align - 1) / align * align
+}
+
+// spans returns the unaligned span length parallelRange(ctx, n, 1, …) uses
+// and the span count, for kernels that keep one partial per span: the span
+// starting at s has index s/chunk.
+func spans(ctx *Ctx, n int) (chunk, count int) {
+	chunk = chunkLen(ctx, n, 1)
+	return chunk, (n + chunk - 1) / chunk
+}
+
+// parallelRange splits [0,n) into contiguous spans, one per worker, and runs
+// body(start, end) concurrently. Spans are aligned to align elements so that
+// bitmap-producing kernels never share a word between workers. A panic in
+// any worker is re-raised in the caller so the device boundary can convert
+// it into a launch error.
+func parallelRange(ctx *Ctx, n, align int, body func(start, end int)) {
+	chunk := chunkLen(ctx, n, align)
+	var st struct { // one allocation for the state every worker shares
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	}
 	for start := 0; start < n; start += chunk {
 		end := start + chunk
 		if end > n {
 			end = n
 		}
-		wg.Add(1)
+		st.wg.Add(1)
 		go func(s, e int) {
-			defer wg.Done()
+			defer st.wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
+					st.mu.Lock()
+					if st.panicked == nil {
+						st.panicked = r
 					}
-					mu.Unlock()
+					st.mu.Unlock()
 				}
 			}()
 			body(s, e)
 		}(start, end)
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	st.wg.Wait()
+	if st.panicked != nil {
+		panic(st.panicked)
 	}
 }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -32,10 +33,7 @@ var MaterializeBitmapI32 = register(&Kernel{
 	NArgs:  4,
 	Source: "__kernel materialize_bitmap_i32(v, bm, out, count) { /* compaction */ }",
 	Fn: func(ctx *Ctx, args []vec.Vector, _ []int64) error {
-		values := args[0].I32()
-		return materializeBitmap(ctx, args, len(values), func(dst, src int) {
-			args[2].I32()[dst] = values[src]
-		})
+		return materializeBitmap(ctx, args[0].I32(), args[1], args[2].I32(), args[3].I64())
 	},
 	Cost: materializeCost,
 })
@@ -47,19 +45,15 @@ var MaterializeBitmapI64 = register(&Kernel{
 	NArgs:  4,
 	Source: "__kernel materialize_bitmap_i64(v, bm, out, count) { /* compaction */ }",
 	Fn: func(ctx *Ctx, args []vec.Vector, _ []int64) error {
-		values := args[0].I64()
-		return materializeBitmap(ctx, args, len(values), func(dst, src int) {
-			args[2].I64()[dst] = values[src]
-		})
+		return materializeBitmap(ctx, args[0].I64(), args[1], args[2].I64(), args[3].I64())
 	},
 	Cost: materializeCost,
 })
 
 // materializeBitmap runs the shared compaction logic: a word-popcount prefix
-// pass to find scatter bases, then a parallel extract.
-func materializeBitmap(ctx *Ctx, args []vec.Vector, n int, assign func(dst, src int)) error {
-	bm := args[1]
-	outCount := args[3].I64()
+// pass to find scatter bases, then a parallel extract of the set bits.
+func materializeBitmap[T integer](ctx *Ctx, values []T, bm vec.Vector, out []T, outCount []int64) error {
+	n := len(values)
 	if bm.Type() != vec.Bits {
 		return fmt.Errorf("%w: materialize bitmap argument must be Bits", ErrBadArgs)
 	}
@@ -73,37 +67,32 @@ func materializeBitmap(ctx *Ctx, args []vec.Vector, n int, assign func(dst, src 
 	nw := (n + 63) / 64
 	base := make([]int32, nw+1)
 	for w := 0; w < nw; w++ {
-		ww := words[w]
-		if w == nw-1 && n%64 != 0 {
-			ww &= 1<<uint(n%64) - 1
-		}
-		base[w+1] = base[w] + int32(bits.OnesCount64(ww))
+		base[w+1] = base[w] + int32(bits.OnesCount64(bitmapWord(words, w, n)))
 	}
 	total := int(base[nw])
-	if total > args[2].Len() {
-		return fmt.Errorf("%w: materialize output holds %d values, need %d", ErrBadArgs, args[2].Len(), total)
+	if total > len(out) {
+		return fmt.Errorf("%w: materialize output holds %d values, need %d", ErrBadArgs, len(out), total)
 	}
 	parallelRange(ctx, n, 64, func(s, e int) {
 		for w := s / 64; w*64 < e; w++ {
 			at := int(base[w])
-			limit := (w + 1) * 64
-			if limit > e {
-				limit = e
-			}
-			ww := words[w]
-			for ww != 0 {
-				i := w*64 + bits.TrailingZeros64(ww)
-				if i >= limit {
-					break
-				}
-				assign(at, i)
+			for ww := bitmapWord(words, w, n); ww != 0; ww &= ww - 1 {
+				out[at] = values[w*64+bits.TrailingZeros64(ww)]
 				at++
-				ww &= ww - 1
 			}
 		}
 	})
 	outCount[0] = int64(total)
 	return nil
+}
+
+// bitmapWord returns word w of an n-bit bitmap with the bits beyond n
+// cleared.
+func bitmapWord(words []uint64, w, n int) uint64 {
+	if rest := n - 64*w; rest < 64 {
+		return words[w] & (1<<uint(rest) - 1)
+	}
+	return words[w]
 }
 
 // MaterializePosI32 gathers values by an explicit position list (the
@@ -114,10 +103,7 @@ var MaterializePosI32 = register(&Kernel{
 	NArgs:  3,
 	Source: "__kernel materialize_pos_i32(v, pos, out) { out[i] = v[pos[i]]; }",
 	Fn: func(ctx *Ctx, args []vec.Vector, _ []int64) error {
-		values := args[0].I32()
-		return materializePos(ctx, args, len(values), func(dst, src int) {
-			args[2].I32()[dst] = values[src]
-		})
+		return materializePos(ctx, args[0].I32(), args[1].I32(), args[2].I32())
 	},
 	Cost: gatherCost,
 })
@@ -129,31 +115,35 @@ var MaterializePosI64 = register(&Kernel{
 	NArgs:  3,
 	Source: "__kernel materialize_pos_i64(v, pos, out) { out[i] = v[pos[i]]; }",
 	Fn: func(ctx *Ctx, args []vec.Vector, _ []int64) error {
-		values := args[0].I64()
-		return materializePos(ctx, args, len(values), func(dst, src int) {
-			args[2].I64()[dst] = values[src]
-		})
+		return materializePos(ctx, args[0].I64(), args[1].I32(), args[2].I64())
 	},
 	Cost: gatherCost,
 })
 
-func materializePos(ctx *Ctx, args []vec.Vector, nValues int, assign func(dst, src int)) error {
-	pos := args[1].I32()
-	if args[2].Len() < len(pos) {
-		return fmt.Errorf("%w: materialize_pos output holds %d, need %d", ErrBadArgs, args[2].Len(), len(pos))
+// materializePos gathers values by position. Workers that meet an
+// out-of-range position stop, and the first such error is reported.
+func materializePos[T integer](ctx *Ctx, values []T, pos []int32, out []T) error {
+	if len(out) < len(pos) {
+		return fmt.Errorf("%w: materialize_pos output holds %d, need %d", ErrBadArgs, len(out), len(pos))
 	}
-	var bad error
+	var bad struct {
+		sync.Mutex
+		err error
+	}
 	parallelRange(ctx, len(pos), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			p := int(pos[i])
-			if p < 0 || p >= nValues {
-				bad = fmt.Errorf("%w: position %d out of %d values", ErrBadArgs, p, nValues)
+		for i, p := range pos[s:e] {
+			if uint(p) >= uint(len(values)) {
+				bad.Lock()
+				if bad.err == nil {
+					bad.err = fmt.Errorf("%w: position %d out of %d values", ErrBadArgs, p, len(values))
+				}
+				bad.Unlock()
 				return
 			}
-			assign(i, p)
+			out[s+i] = values[p]
 		}
 	})
-	return bad
+	return bad.err
 }
 
 func gatherCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -79,51 +78,23 @@ func prefixCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
 // scanExclusiveI32 computes an exclusive prefix sum with a blockwise
 // parallel scan: per-span sums first, then a span-base fixup pass.
 func scanExclusiveI32(ctx *Ctx, in, out []int32) {
-	n := len(in)
-	if n == 0 {
-		return
-	}
-	w := ctx.workers()
-	span := (n + w - 1) / w
-	if span == 0 {
-		span = 1
-	}
-	nSpans := (n + span - 1) / span
+	chunk, nSpans := spans(ctx, len(in))
 	sums := make([]int32, nSpans+1)
-	var wg sync.WaitGroup
-	for si := 0; si < nSpans; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s, e := si*span, (si+1)*span
-			if e > n {
-				e = n
-			}
-			var acc int32
-			for i := s; i < e; i++ {
-				out[i] = acc
-				acc += in[i]
-			}
-			sums[si+1] = acc
-		}(si)
-	}
-	wg.Wait()
+	parallelRange(ctx, len(in), 1, func(s, e int) {
+		var acc int32
+		for i := s; i < e; i++ {
+			out[i] = acc
+			acc += in[i]
+		}
+		sums[s/chunk+1] = acc
+	})
 	for i := 1; i <= nSpans; i++ {
 		sums[i] += sums[i-1]
 	}
-	for si := 1; si < nSpans; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s, e := si*span, (si+1)*span
-			if e > n {
-				e = n
-			}
-			base := sums[si]
-			for i := s; i < e; i++ {
-				out[i] += base
-			}
-		}(si)
-	}
-	wg.Wait()
+	parallelRange(ctx, len(in), 1, func(s, e int) {
+		base := sums[s/chunk]
+		for i := s; i < e; i++ {
+			out[i] += base
+		}
+	})
 }

@@ -16,8 +16,12 @@ go test -race -run '^TestTelemetryRaceBalance$' .
 # gather, so it runs race-enabled even if the blanket line is narrowed.
 go test -race -run '^TestShardChaosSoak$' .
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sql
+go test -run '^$' -fuzz '^FuzzFilterRange$' -fuzztime 10s ./internal/kernels
 go test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/sql
 go test -run '^$' -fuzz '^FuzzReadCatalog$' -fuzztime 10s ./internal/cost
+# Kernel microbenchmark smoke: one iteration each, so they keep compiling
+# and running.
+go test -bench . -benchtime 1x -run '^$' ./internal/kernels
 
 # Golden-trace determinism: the same Q6 run must serialise to a
 # byte-identical Chrome trace across two fresh processes. (The golden
